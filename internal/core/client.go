@@ -499,16 +499,19 @@ func decodeInfoFrame(resp wire.Frame) (InfoResult, error) {
 	var format xrsl.Format
 	var entries []ldif.Entry
 	var err error
+	// The payload is copied once: Raw and the decoded entries, which
+	// alias their input, share the copy.
+	raw := string(resp.Payload)
 	switch resp.Verb {
 	case VerbResultLDIF:
 		format = xrsl.FormatLDIF
-		entries, err = ldif.Unmarshal(string(resp.Payload))
+		entries, err = ldif.Unmarshal(raw)
 	case VerbResultXML:
 		format = xrsl.FormatXML
-		entries, err = xmlenc.Unmarshal(string(resp.Payload))
+		entries, err = xmlenc.Unmarshal(raw)
 	case VerbResultDSML:
 		format = xrsl.FormatDSML
-		entries, err = xmlenc.UnmarshalDSML(string(resp.Payload))
+		entries, err = xmlenc.UnmarshalDSML(raw)
 	case gram.VerbSubmitted:
 		return InfoResult{}, fmt.Errorf("infogram: specification was a job submission; use Submit")
 	default:
@@ -519,7 +522,7 @@ func decodeInfoFrame(resp wire.Frame) (InfoResult, error) {
 	}
 	return InfoResult{
 		Format:   format,
-		Raw:      string(resp.Payload),
+		Raw:      raw,
 		Entries:  entries,
 		Degraded: entriesDegraded(entries),
 	}, nil

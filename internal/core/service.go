@@ -370,6 +370,10 @@ func (s *Service) Close() error {
 	if perr := s.persist.Close(); err == nil && perr != nil {
 		err = perr
 	}
+	// Jobs outlive the service, but its durable records end here: the
+	// accounting log and the journal both keep the state at Close, the
+	// point recovery resumes from.
+	s.manager.Close()
 	if jerr := s.cfg.Journal.Close(); err == nil {
 		err = jerr
 	}

@@ -11,8 +11,10 @@ package gram
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"infogram/internal/clock"
@@ -108,6 +110,8 @@ type Manager struct {
 	// running tracks the live backend handles of each job's current
 	// attempt so Signal can reach them.
 	running map[string][]scheduler.Handle
+	// closed stops accounting-log records; see Close.
+	closed atomic.Bool
 }
 
 // NewManager builds a Manager.
@@ -316,8 +320,14 @@ func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobR
 	return nil
 }
 
+// Close ends the manager's accounting-log records. Jobs still running
+// keep running, but nothing more about them reaches the log, so the log
+// stops where its closed service stopped, as the service's closed journal
+// does, and recovery from either resumes the same jobs.
+func (m *Manager) Close() { m.closed.Store(true) }
+
 func (m *Manager) logRecord(r logging.Record) {
-	if m.cfg.Log == nil {
+	if m.cfg.Log == nil || m.closed.Load() {
 		return
 	}
 	_ = m.cfg.Log.Append(r) // logging failures must not break job flow
@@ -350,11 +360,10 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 				return
 			}
 		}
-		if err := m.transition(ctx, contact, req, job.Mutation{State: job.Active, Restarts: intPtr(attempt)}); err != nil {
+		res, runErr := m.attempt(ctx, backend, contact, req, attempt)
+		if errors.Is(runErr, errNotActive) {
 			return
 		}
-
-		res, runErr := m.attempt(ctx, backend, contact, req)
 		if ctx.Err() != nil {
 			// Cancelled: no restart, report the cancellation.
 			m.fail(ctx, contact, req, res, -1, "cancelled: "+ctx.Err().Error(), attempt)
@@ -387,13 +396,17 @@ func (m *Manager) runFrom(ctx context.Context, contact string, req *xrsl.JobRequ
 	}
 }
 
+// errNotActive ends a run whose job could not be marked ACTIVE; the
+// table refused the transition, so no further one is attempted.
+var errNotActive = errors.New("gram: job could not be marked ACTIVE")
+
 // attempt runs one execution attempt, expanding count and applying the
 // timeout/action extension. A traced attempt records a "scheduler.run"
 // span naming the backend.
-func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest) (scheduler.Result, error) {
+func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest, attempt int) (scheduler.Result, error) {
 	ctx, sp := telemetry.StartSpan(ctx, "scheduler.run")
 	sp.SetAttr("backend", backend.Name())
-	res, err := m.attemptRun(ctx, backend, contact, req)
+	res, err := m.attemptRun(ctx, backend, contact, req, attempt)
 	if err != nil {
 		sp.Fail(err.Error())
 	}
@@ -401,7 +414,11 @@ func (m *Manager) attempt(ctx context.Context, backend scheduler.Backend, contac
 	return res, err
 }
 
-func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest) (scheduler.Result, error) {
+// attemptRun submits the attempt's tasks, registers their handles for
+// Signal and only then marks the job ACTIVE, so a client that sees ACTIVE
+// can suspend it. A failed submission still passes through ACTIVE before
+// it is reported, as every attempt does.
+func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, contact string, req *xrsl.JobRequest, attempt int) (scheduler.Result, error) {
 	runCtx := ctx
 	var cancel context.CancelFunc
 	if req.MaxWallTime > 0 {
@@ -439,6 +456,7 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 		},
 	}
 
+	var submitErr error
 	handles := make([]scheduler.Handle, 0, req.Count)
 	for i := 0; i < req.Count; i++ {
 		h, err := backend.Submit(runCtx, task)
@@ -446,7 +464,8 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 			for _, prev := range handles {
 				prev.Cancel()
 			}
-			return scheduler.Result{}, err
+			handles, submitErr = nil, err
+			break
 		}
 		handles = append(handles, h)
 	}
@@ -458,6 +477,15 @@ func (m *Manager) attemptRun(ctx context.Context, backend scheduler.Backend, con
 		delete(m.running, contact)
 		m.mu.Unlock()
 	}()
+	if err := m.transition(ctx, contact, req, job.Mutation{State: job.Active, Restarts: intPtr(attempt)}); err != nil {
+		for _, h := range handles {
+			h.Cancel()
+		}
+		return scheduler.Result{}, errNotActive
+	}
+	if submitErr != nil {
+		return scheduler.Result{}, submitErr
+	}
 
 	if req.Timeout > 0 {
 		return m.waitWithTimeout(runCtx, handles, req)

@@ -179,6 +179,11 @@ func (e *encoder) encode(w io.Writer, entries []Entry) error {
 			if a.Name == "" {
 				return fmt.Errorf("ldif: empty attribute name in entry %q", ent.DN)
 			}
+			if strings.IndexByte(a.Name, '\n') >= 0 || strings.IndexByte(a.Name, '\r') >= 0 {
+				// A name is written as is, so a line break in it would
+				// end or (folded onto a row end) corrupt the line.
+				return fmt.Errorf("ldif: line break in attribute name %q in entry %q", a.Name, ent.DN)
+			}
 			if err := e.writeAttr(w, a.Name, a.Value); err != nil {
 				return err
 			}
@@ -206,95 +211,155 @@ func Marshal(entries []Entry) (string, error) {
 	return e.out.String(), nil
 }
 
-// Decode parses LDIF from r. Comments (#) are skipped; folded lines are
-// unfolded; base64 values are decoded.
+// maxLine bounds one physical line: a line of maxLine bytes or more, its
+// line break excluded, fails the decode with an error wrapping
+// bufio.ErrTooLong. It is the token limit of the bufio.Scanner this
+// decoder replaced, kept so that input which failed then still fails.
+const maxLine = 1 << 20
+
+// Decode parses LDIF from r: it reads r to the end and parses the bytes
+// as Unmarshal does. The returned entries alias the bytes read, which no
+// one else holds.
 func Decode(r io.Reader) ([]Entry, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-
-	var entries []Entry
-	var cur *Entry
-	var pending string // logical line being assembled across folds
-	lineNo := 0
-
-	flushLine := func() error {
-		if pending == "" {
-			return nil
-		}
-		line := pending
-		pending = ""
-		if strings.HasPrefix(line, "#") {
-			return nil
-		}
-		name, value, err := parseLine(line)
-		if err != nil {
-			return fmt.Errorf("ldif: line %d: %w", lineNo, err)
-		}
-		if strings.EqualFold(name, "dn") {
-			if cur != nil {
-				entries = append(entries, *cur)
-			}
-			cur = &Entry{DN: value}
-			return nil
-		}
-		if cur == nil {
-			return fmt.Errorf("ldif: line %d: attribute %q before any dn", lineNo, name)
-		}
-		cur.Add(name, value)
-		return nil
-	}
-
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Text()
-		switch {
-		case raw == "":
-			if err := flushLine(); err != nil {
-				return nil, err
-			}
-			if cur != nil {
-				entries = append(entries, *cur)
-				cur = nil
-			}
-		case strings.HasPrefix(raw, " "):
-			if pending == "" {
-				return nil, fmt.Errorf("ldif: line %d: continuation with no preceding line", lineNo)
-			}
-			pending += raw[1:]
-		default:
-			if err := flushLine(); err != nil {
-				return nil, err
-			}
-			pending = raw
-		}
-	}
-	if err := sc.Err(); err != nil {
+	b, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("ldif: read: %w", err)
 	}
-	if err := flushLine(); err != nil {
-		return nil, err
-	}
-	if cur != nil {
-		entries = append(entries, *cur)
-	}
-	return entries, nil
+	return Unmarshal(zerocopy.String(b))
 }
 
-// Unmarshal parses LDIF from a string.
+// Unmarshal parses LDIF from a string. Comments (#) are skipped; folded
+// lines are unfolded; base64 values are decoded. Lines end in LF or CRLF;
+// a last line with no line break is still read.
+//
+// Aliasing: every DN, name and value that needs no unfolding or base64
+// decoding is a substring of s, so the entries keep all of s alive. A
+// caller whose s aliases memory it does not own (a cache arena, a pooled
+// frame buffer) must pass a copy.
 func Unmarshal(s string) ([]Entry, error) {
-	return Decode(strings.NewReader(s))
+	var d decoder
+	for len(s) > 0 {
+		line := s
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			line, s = s[:i], s[i+1:]
+		} else {
+			s = ""
+		}
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("ldif: read: %w", bufio.ErrTooLong)
+		}
+		d.lineNo++
+		if err := d.line(strings.TrimSuffix(line, "\r")); err != nil {
+			return nil, err
+		}
+	}
+	if err := d.flush(); err != nil {
+		return nil, err
+	}
+	d.closeEntry()
+	return d.entries, nil
+}
+
+// decoder holds the state of one Unmarshal call.
+type decoder struct {
+	entries []Entry
+	open    bool // entries[len-1] is still taking attributes
+	lineNo  int
+	// pending is the first physical line of the logical line being
+	// assembled; "" when none is. A folded logical line is assembled in
+	// fold, with folded set.
+	pending string
+	fold    []byte
+	folded  bool
+	// attrHint is the attribute count of the last closed entry: the
+	// capacity a new entry's attributes start at, so a run of alike
+	// entries allocates each attribute slice once.
+	attrHint int
+	b64      []byte // base64 decode scratch
+}
+
+// line consumes one physical line, its line break removed.
+func (d *decoder) line(raw string) error {
+	switch {
+	case raw == "":
+		if err := d.flush(); err != nil {
+			return err
+		}
+		d.closeEntry()
+	case raw[0] == ' ':
+		if d.pending == "" {
+			return fmt.Errorf("ldif: line %d: continuation with no preceding line", d.lineNo)
+		}
+		if !d.folded {
+			d.fold = append(d.fold[:0], d.pending...)
+			d.folded = true
+		}
+		d.fold = append(d.fold, raw[1:]...)
+	default:
+		if err := d.flush(); err != nil {
+			return err
+		}
+		d.pending = raw
+	}
+	return nil
+}
+
+// flush parses the assembled logical line, if any. Errors name the
+// current physical line: the one whose arrival ended the logical line.
+func (d *decoder) flush() error {
+	line := d.pending
+	if line == "" {
+		return nil
+	}
+	d.pending = ""
+	folded := d.folded
+	d.folded = false
+	if line[0] == '#' {
+		return nil
+	}
+	if folded {
+		line = string(d.fold)
+	}
+	name, value, err := d.parseLine(line)
+	if err != nil {
+		return fmt.Errorf("ldif: line %d: %w", d.lineNo, err)
+	}
+	if strings.EqualFold(name, "dn") {
+		d.closeEntry()
+		d.entries = append(d.entries, Entry{DN: value})
+		d.open = true
+		return nil
+	}
+	if !d.open {
+		return fmt.Errorf("ldif: line %d: attribute %q before any dn", d.lineNo, name)
+	}
+	e := &d.entries[len(d.entries)-1]
+	if e.Attrs == nil {
+		e.Attrs = make([]Attr, 0, max(d.attrHint, 4))
+	}
+	e.Attrs = append(e.Attrs, Attr{Name: name, Value: value})
+	return nil
+}
+
+func (d *decoder) closeEntry() {
+	if d.open {
+		d.attrHint = len(d.entries[len(d.entries)-1].Attrs)
+		d.open = false
+	}
 }
 
 // parseLine splits "name: value", "name:: base64", or "name:" lines. The
 // separating colon is the first colon followed by a space, another colon,
 // or end of line: attribute names themselves may contain colons, because
 // InfoGram namespaces attributes as "Keyword:attr" (paper §6.2.1).
-func parseLine(line string) (name, value string, err error) {
+func (d *decoder) parseLine(line string) (name, value string, err error) {
 	colon := -1
-	for i := 0; i < len(line); i++ {
-		if line[i] != ':' {
-			continue
+	for i := 0; ; i++ {
+		j := strings.IndexByte(line[i:], ':')
+		if j < 0 {
+			break
 		}
+		i += j
 		if i+1 == len(line) || line[i+1] == ' ' || line[i+1] == ':' {
 			colon = i
 			break
@@ -306,12 +371,12 @@ func parseLine(line string) (name, value string, err error) {
 	name = line[:colon]
 	rest := line[colon+1:]
 	if strings.HasPrefix(rest, ":") {
-		// base64 form
-		b, err := base64.StdEncoding.DecodeString(strings.TrimLeft(rest[1:], " "))
+		// base64 form. zerocopy: base64 decoding only reads its source.
+		d.b64, err = base64.StdEncoding.AppendDecode(d.b64[:0], zerocopy.Bytes(strings.TrimLeft(rest[1:], " ")))
 		if err != nil {
 			return "", "", fmt.Errorf("bad base64 value for %q: %w", name, err)
 		}
-		return name, string(b), nil
+		return name, string(d.b64), nil
 	}
 	return name, strings.TrimLeft(rest, " "), nil
 }

@@ -242,7 +242,9 @@ func (g *GIIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 	if err != nil {
 		return nil, err
 	}
-	return ldif.Unmarshal(zerocopy.String(body))
+	// One copy: the decoded entries alias their input, and body may alias
+	// a cache arena that the entries must not keep alive.
+	return ldif.Unmarshal(string(body))
 }
 
 // SearchLDIF answers a search with the rendered LDIF body, serving repeats

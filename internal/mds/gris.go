@@ -219,7 +219,9 @@ func (g *GRIS) Search(ctx context.Context, req SearchRequest) ([]ldif.Entry, err
 	if err != nil {
 		return nil, err
 	}
-	return ldif.Unmarshal(zerocopy.String(body))
+	// One copy: the decoded entries alias their input, and body may alias
+	// a cache arena that the entries must not keep alive.
+	return ldif.Unmarshal(string(body))
 }
 
 // SearchLDIF evaluates a request and returns the rendered LDIF body. The

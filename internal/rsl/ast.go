@@ -3,6 +3,7 @@ package rsl
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Op is a relation operator.
@@ -183,30 +184,46 @@ func (r *Relation) String() string { return r.Unparse() }
 // String implements fmt.Stringer for diagnostics.
 func (b *Boolean) String() string { return b.Unparse() }
 
-// canonAttr normalizes an attribute name: RSL attribute names are
-// case-insensitive and ignore underscores (GRAM treats max_time and
-// maxtime identically).
-func canonAttr(name string) string {
-	var sb strings.Builder
-	for _, r := range name {
-		if r == '_' {
+// AttrEqual reports whether two attribute names are the same under RSL
+// canonicalization: RSL attribute names are case-insensitive and ignore
+// underscores (GRAM treats max_time and maxtime identically). Only ASCII
+// letters fold case. The names are compared rune by rune, allocating
+// nothing; an invalid UTF-8 byte compares as U+FFFD, as ranging over the
+// string yields it.
+func AttrEqual(a, b string) bool {
+	for {
+		ra, na := nextAttrRune(a)
+		rb, nb := nextAttrRune(b)
+		if ra != rb {
+			return false
+		}
+		if ra < 0 {
+			return true
+		}
+		a, b = a[na:], b[nb:]
+	}
+}
+
+// nextAttrRune returns the first canonical rune of s (underscores
+// skipped, ASCII lower-cased) and the number of bytes up to and including
+// it; at the end of s it returns -1.
+func nextAttrRune(s string) (rune, int) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			return r, i + n
+		}
+		if c == '_' {
 			continue
 		}
-		sb.WriteRune(toLower(r))
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		return rune(c), i + 1
 	}
-	return sb.String()
+	return -1, len(s)
 }
-
-func toLower(r rune) rune {
-	if r >= 'A' && r <= 'Z' {
-		return r + ('a' - 'A')
-	}
-	return r
-}
-
-// AttrEqual reports whether two attribute names are the same under RSL
-// canonicalization.
-func AttrEqual(a, b string) bool { return canonAttr(a) == canonAttr(b) }
 
 // errorf builds a SyntaxError at pos.
 func errorf(pos int, format string, args ...any) error {

@@ -45,3 +45,11 @@ func BenchmarkSpecEvaluation(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkAttrEqual(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if !AttrEqual("Max_Wall_Time", "maxwalltime") || AttrEqual("environment", "executable") {
+			b.Fatal("AttrEqual misbehaves")
+		}
+	}
+}

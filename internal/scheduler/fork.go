@@ -54,7 +54,10 @@ func (h *forkHandle) Suspend() error { return h.signal(syscall.SIGSTOP) }
 // Resume continues the child with SIGCONT.
 func (h *forkHandle) Resume() error { return h.signal(syscall.SIGCONT) }
 
-// Submit implements Backend by starting the process immediately.
+// Submit implements Backend by starting the process before it returns:
+// once a caller holds the handle, the pid is published and Suspend and
+// Resume reach the process. A failure to start is reported through the
+// handle's Wait, like any other failure to execute.
 func (f *Fork) Submit(ctx context.Context, t Task) (Handle, error) {
 	if t.Executable == "" {
 		return nil, errors.New("scheduler: fork: empty executable")
@@ -65,48 +68,38 @@ func (f *Fork) Submit(ctx context.Context, t Task) (Handle, error) {
 	if maxOut <= 0 {
 		maxOut = 1 << 20
 	}
-	go func() {
-		defer cancel()
-		start := time.Now()
-		cmd := exec.CommandContext(runCtx, t.Executable, t.Args...)
-		cmd.Dir = t.Dir
-		env := t.Env
-		if t.Checkpoint != "" {
-			// Forked processes receive their restart checkpoint through
-			// the environment.
-			env = make(map[string]string, len(t.Env)+1)
-			for k, v := range t.Env {
-				env[k] = v
-			}
-			env["INFOGRAM_CHECKPOINT"] = t.Checkpoint
+	start := time.Now()
+	cmd := exec.CommandContext(runCtx, t.Executable, t.Args...)
+	cmd.Dir = t.Dir
+	env := t.Env
+	if t.Checkpoint != "" {
+		// Forked processes receive their restart checkpoint through
+		// the environment.
+		env = make(map[string]string, len(t.Env)+1)
+		for k, v := range t.Env {
+			env[k] = v
 		}
-		if len(env) > 0 {
-			cmd.Env = flattenEnv(env)
-		}
-		if t.Stdin != "" {
-			cmd.Stdin = strings.NewReader(t.Stdin)
-		}
-		stdout := &limitedBuffer{max: maxOut}
-		stderr := &limitedBuffer{max: maxOut}
-		cmd.Stdout = stdout
-		cmd.Stderr = stderr
-		// Each job leads its own process group so suspend/cancel reach
-		// the whole tree, not just the immediate child.
-		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-		cmd.Cancel = func() error {
-			return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
-		}
+		env["INFOGRAM_CHECKPOINT"] = t.Checkpoint
+	}
+	if len(env) > 0 {
+		cmd.Env = flattenEnv(env)
+	}
+	if t.Stdin != "" {
+		cmd.Stdin = strings.NewReader(t.Stdin)
+	}
+	stdout := &limitedBuffer{max: maxOut}
+	stderr := &limitedBuffer{max: maxOut}
+	cmd.Stdout = stdout
+	cmd.Stderr = stderr
+	// Each job leads its own process group so suspend/cancel reach
+	// the whole tree, not just the immediate child.
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+	cmd.Cancel = func() error {
+		return syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+	}
 
-		err := cmd.Start()
-		if err == nil {
-			h.mu.Lock()
-			h.pid = cmd.Process.Pid
-			h.mu.Unlock()
-			err = cmd.Wait()
-			h.mu.Lock()
-			h.pid = 0
-			h.mu.Unlock()
-		}
+	finish := func(err error) {
+		defer cancel()
 		res := Result{
 			Stdout:     stdout.String(),
 			Stderr:     stderr.String(),
@@ -127,6 +120,18 @@ func (f *Fork) Submit(ctx context.Context, t Task) (Handle, error) {
 				h.finish(res, fmt.Errorf("scheduler: fork: %w", err))
 			}
 		}
+	}
+	if err := cmd.Start(); err != nil {
+		finish(err)
+		return h, nil
+	}
+	h.pid = cmd.Process.Pid
+	go func() {
+		err := cmd.Wait()
+		h.mu.Lock()
+		h.pid = 0
+		h.mu.Unlock()
+		finish(err)
 	}()
 	return h, nil
 }

@@ -93,7 +93,7 @@ func TestForkMissingBinary(t *testing.T) {
 	f := &Fork{}
 	h, err := f.Submit(context.Background(), Task{Executable: "/no/such/bin"})
 	if err != nil {
-		t.Fatal(err) // submit is async; error surfaces at Wait
+		t.Fatal(err) // a start failure surfaces at Wait
 	}
 	if _, err := h.Wait(context.Background()); err == nil {
 		t.Error("expected error for missing binary")
@@ -330,7 +330,8 @@ func TestForkSuspendResume(t *testing.T) {
 	if !ok {
 		t.Fatal("fork handle does not implement Suspender")
 	}
-	time.Sleep(30 * time.Millisecond) // let the process start
+	// Submit returns with the process started, so it can be stopped at
+	// once.
 	if err := sus.Suspend(); err != nil {
 		t.Fatalf("Suspend: %v", err)
 	}

@@ -258,6 +258,11 @@ type Tracer struct {
 	tracesSampled *Counter // sampled out (dropped by probability)
 	spansOverflow *Counter
 	spansLate     *Counter // finished after root finalize, trace dropped
+
+	// publishHook, when set, runs after a kept trace's buffer finalizes
+	// and before the trace is stored; tests use it to end a late span in
+	// that window.
+	publishHook func()
 }
 
 // NewTracer builds a tracer from opts.
@@ -424,12 +429,18 @@ func (t *Tracer) finish(s *Span, end time.Time) {
 	b.kept = keep
 	spans := b.spans
 	b.spans = nil
-	b.mu.Unlock()
 	if !keep {
+		b.mu.Unlock()
 		t.tracesSampled.Inc()
 		return
 	}
 	t.tracesKept.Inc()
+	if t.publishHook != nil {
+		t.publishHook()
+	}
+	// The trace reaches the store before b.mu is released, so a late span
+	// that finds the buffer finalized and kept always finds the trace
+	// stored. Lock order: buffer, then store stripe.
 	t.store.Put(TraceRecord{
 		Trace:    b.trace,
 		Root:     b.root,
@@ -438,6 +449,7 @@ func (t *Tracer) finish(s *Span, end time.Time) {
 		Duration: rec.Duration,
 		Spans:    spans,
 	})
+	b.mu.Unlock()
 }
 
 func (t *Tracer) sampleHit() bool {

@@ -171,6 +171,49 @@ func TestLateSpansAppendToKeptTrace(t *testing.T) {
 	}
 }
 
+// TestLateSpanDuringPublishAppended ends a job's span after its root
+// finalized but before the kept trace reached the store: the span must
+// join the stored trace, not be counted as a late drop.
+func TestLateSpanDuringPublishAppended(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(TracerOptions{Telemetry: reg})
+	ctx, root := tr.StartTrace(context.Background(), "request:SUBMIT")
+	_, spawn := StartSpan(ctx, "gram.spawn")
+	spawn.End()
+	_, sched := StartSpan(ContextWithSpan(context.Background(), spawn), "scheduler.run")
+
+	ended := make(chan struct{})
+	tr.publishHook = func() {
+		go func() {
+			sched.End()
+			close(ended)
+		}()
+		// Give the span time to end inside the window; with the buffer
+		// locked until the trace is stored it cannot, and ends after.
+		select {
+		case <-ended:
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	root.End()
+	<-ended
+
+	if got := counterValue(t, reg, "infogram_trace_spans_late_dropped_total"); got != 0 {
+		t.Errorf("late-dropped counter = %d, want 0", got)
+	}
+	rec, ok := tr.Store().Get(root.Trace())
+	if !ok {
+		t.Fatal("trace dropped")
+	}
+	found := false
+	for _, s := range rec.Spans {
+		found = found || s.ID == sched.ID()
+	}
+	if !found || len(rec.Spans) != 3 {
+		t.Errorf("stored spans = %+v, want root, gram.spawn and scheduler.run", rec.Spans)
+	}
+}
+
 func TestLateSpanOnDroppedTraceCounted(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerOptions{SampleRate: -1, Telemetry: reg})

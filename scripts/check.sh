@@ -41,6 +41,7 @@ for target in \
 	FuzzRejectFrameDecode:./internal/wire \
 	FuzzParseXRSL:./internal/xrsl \
 	FuzzParseFilter:./internal/mds \
+	FuzzUnmarshal:./internal/ldif \
 	FuzzReplay:./internal/logging \
 	FuzzSnapshotRestore:./internal/bytecache; do
 	name=${target%%:*}
