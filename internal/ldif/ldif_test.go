@@ -215,6 +215,19 @@ func TestEmptyAttributeNameRejected(t *testing.T) {
 	}
 }
 
+// TestLineBreakInAttributeNameRejected: names are written unencoded, so a
+// CR or LF in one cannot be read back; folding can put a CR at a row end,
+// where it reads as a CRLF line end.
+func TestLineBreakInAttributeNameRejected(t *testing.T) {
+	for _, name := range []string{"a\nb", "a\rb", strings.Repeat("a", 75) + "\rb"} {
+		e := Entry{DN: "o=test"}
+		e.Add(name, "x")
+		if _, err := Marshal([]Entry{e}); err == nil {
+			t.Errorf("Marshal accepted attribute name %q", name)
+		}
+	}
+}
+
 // TestRoundTripProperty: arbitrary printable attribute values round-trip.
 func TestRoundTripProperty(t *testing.T) {
 	prop := func(dn string, names []string, values []string) bool {
