@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"infogram/internal/clock"
@@ -110,8 +109,12 @@ type Manager struct {
 	// running tracks the live backend handles of each job's current
 	// attempt so Signal can reach them.
 	running map[string][]scheduler.Handle
-	// closed stops accounting-log records; see Close.
-	closed atomic.Bool
+	// recMu orders job records against Close. A transition holds it
+	// shared from its table change until its journal and log records are
+	// written, so Close, which takes it exclusively, returns only once
+	// every state a client could already read is recorded.
+	recMu  sync.RWMutex
+	closed bool // guarded by recMu; see Close
 }
 
 // NewManager builds a Manager.
@@ -282,8 +285,10 @@ func (m *Manager) Cancel(contact string) error {
 // (non-terminal, attempt zero → resubmit), so writing it buys nothing and
 // costs two of the four per-job appends on the happy path.
 func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobRequest, mut job.Mutation) error {
+	m.recMu.RLock()
 	ev, err := m.cfg.Table.Transition(contact, mut, m.cfg.Clock.Now())
 	if err != nil {
+		m.recMu.RUnlock()
 		return err
 	}
 	rec := logging.Record{
@@ -313,21 +318,34 @@ func (m *Manager) transition(ctx context.Context, contact string, req *xrsl.JobR
 		}
 		_ = m.cfg.Journal.Append(ctx, je)
 	}
-	m.logRecord(rec)
+	m.logRecordLocked(rec)
+	m.recMu.RUnlock()
 	if m.cfg.Notify != nil && req != nil && req.CallbackContact != "" {
 		m.cfg.Notify.Notify(req.CallbackContact, ev)
 	}
 	return nil
 }
 
-// Close ends the manager's accounting-log records. Jobs still running
-// keep running, but nothing more about them reaches the log, so the log
-// stops where its closed service stopped, as the service's closed journal
-// does, and recovery from either resumes the same jobs.
-func (m *Manager) Close() { m.closed.Store(true) }
+// Close ends the manager's accounting-log records once the transitions
+// in progress have written theirs. Jobs still running keep running, but
+// nothing more about them reaches the log, so the log stops where its
+// closed service stopped, as the service's closed journal does, and
+// recovery from either resumes the same jobs.
+func (m *Manager) Close() {
+	m.recMu.Lock()
+	m.closed = true
+	m.recMu.Unlock()
+}
 
 func (m *Manager) logRecord(r logging.Record) {
-	if m.cfg.Log == nil || m.closed.Load() {
+	m.recMu.RLock()
+	defer m.recMu.RUnlock()
+	m.logRecordLocked(r)
+}
+
+// logRecordLocked is logRecord for a caller holding recMu.
+func (m *Manager) logRecordLocked(r logging.Record) {
+	if m.cfg.Log == nil || m.closed {
 		return
 	}
 	_ = m.cfg.Log.Append(r) // logging failures must not break job flow
